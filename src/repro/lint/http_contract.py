@@ -1,4 +1,4 @@
-"""HTTP retry-contract lint for the two front-ends.
+"""HTTP retry-contract lint for the HTTP front-end.
 
 Rule ``http-retry-contract``.  PRs 6 and 8 established the client-visible
 overload contract: every 429/503/504 answer tells the client *that* it may
@@ -9,12 +9,12 @@ clients in fail-fast mode during exactly the overload it should smooth.
 
 Checked response shapes:
 
-* threaded front-end — ``self._send_json(status, body, headers=...)`` calls
-  with a literal 429/503/504 status: the body must carry ``"retry"`` and the
-  headers a ``"Retry-After"`` key;
-* asyncio front-end — ``return (status, body, close[, headers])`` tuples
-  whose status is a literal 429/503/504 (or a parameter defaulting to one,
-  which covers the shared ``_reject`` helper): same body/header duties;
+* ``return (status, body, close[, headers])`` tuples (the asyncio
+  front-end's handler shape) whose status is a literal 429/503/504 (or a
+  parameter defaulting to one, which covers the shared ``_reject`` helper):
+  the body must carry ``"retry"`` and the headers a ``"Retry-After"`` key;
+* send-helper calls — ``self._send_json(status, body, headers=...)`` with a
+  literal 429/503/504 status: same body/header duties;
 * batch item dicts — a dict literal with ``"code": 429/503/504`` must also
   carry ``"retry"`` (batch slots have no headers, so the body field is the
   whole contract).
@@ -119,7 +119,7 @@ class _FunctionCheck(ast.NodeVisitor):
             return True  # dynamic headers expression: not provably wrong
         return "Retry-After" in keys or "**" in keys
 
-    # -- threaded front-end: self._send_json(status, body, headers=...) ---
+    # -- send helpers: self._send_json(status, body, headers=...) ---------
     def visit_Call(self, node: ast.Call) -> None:
         callee = None
         if isinstance(node.func, ast.Attribute):
@@ -147,7 +147,7 @@ class _FunctionCheck(ast.NodeVisitor):
                     )
         self.generic_visit(node)
 
-    # -- asyncio front-end: return (status, body, close[, headers]) -------
+    # -- handler returns: return (status, body, close[, headers]) ---------
     def visit_Return(self, node: ast.Return) -> None:
         value = node.value
         if isinstance(value, ast.Tuple) and len(value.elts) >= 2:

@@ -6,7 +6,7 @@ Default (no paths) run covers the repo's invariant surfaces:
 * determinism lint over ``core/``, ``models/``, ``baselines/``,
   ``parallel/`` (``core/rng.py`` itself is the sanctioned entropy module);
 * async-safety lint over ``service/http_async.py``;
-* HTTP retry-contract lint over both front-ends;
+* HTTP retry-contract lint over ``service/http_async.py``;
 * kernel-mirror drift check over the ``_kernels.c`` / ``_ckernels.py`` /
   ``cwalk_mirror.py`` trio.
 
@@ -90,7 +90,7 @@ _LOCKED_SERVICE_FILES = (
 )
 _DETERMINISM_DIRS = ("core", "models", "baselines", "parallel")
 _ASYNC_FILE = "src/repro/service/http_async.py"
-_HTTP_FILES = ("src/repro/service/http.py", "src/repro/service/http_async.py")
+_HTTP_FILES = ("src/repro/service/http_async.py",)
 _BASELINE_NAME = "lint-baseline.txt"
 
 

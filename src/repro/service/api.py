@@ -298,8 +298,8 @@ class ProgressSubscription:
 class SolverService:
     """Solver-as-a-service: persistent store, coalescing, warm workers.
 
-    Thread-safe; designed to sit behind the threaded HTTP front-end of
-    :mod:`repro.service.http` but equally usable in-process::
+    Thread-safe; designed to sit behind the HTTP front-end of
+    :mod:`repro.service.http_async` but equally usable in-process::
 
         with SolverService(ServiceConfig(store_path="solutions.db")) as svc:
             response = svc.submit(18).result(timeout=600)
@@ -308,7 +308,7 @@ class SolverService:
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config if config is not None else ServiceConfig()
         self.fault_plan = self._resolve_fault_plan(self.config.fault_plan)
-        #: Injector behind the front-ends' ``http.drop`` point (scoped so it
+        #: Injector behind the front-end's ``http.drop`` point (scoped so it
         #: draws independently of the store's and the workers' streams).
         self.http_faults = FaultInjector(self.fault_plan, scope="http")
         self.breaker = CircuitBreaker(
@@ -1522,15 +1522,9 @@ class SolverService:
         breaker_status = "degraded" if breaker["open"] else "ok"
         components = {
             "store": store_health,
-            # Informational: which Adaptive Search engine path workers run
-            # ("c" = compiled walk kernels, "numpy" = pure-Python fallback)
-            # and the per-slot vectorised population width.  NumPy mode is a
-            # slower but fully functional path, hence never degraded.
-            "engine": {
-                "status": "ok",
-                "kernel_mode": _ckernels.mode(),
-                "population": max(1, int(self.config.population)),
-            },
+            # Informational: NumPy kernel mode is a slower but fully
+            # functional path, hence never degraded.
+            "engine": {"status": "ok", **self._engine_info()},
             "pool": {"status": pool_status, **pool_stats},
             "scheduler": {
                 "status": "ok" if not self.scheduler.closed else "failing",
@@ -1562,6 +1556,15 @@ class SolverService:
                 "enabled": self.fault_plan is not None and self.fault_plan.enabled,
                 "rates": dict(self.fault_plan.rates) if self.fault_plan else {},
             },
+        }
+
+    def _engine_info(self) -> Dict[str, Any]:
+        """Which Adaptive Search engine path the workers run ("c" = compiled
+        walk kernels, "numpy" = pure-Python fallback) and the vectorised
+        per-slot population width; shared by :meth:`stats` and :meth:`health`."""
+        return {
+            "kernel_mode": _ckernels.mode(),
+            "population": max(1, int(self.config.population)),
         }
 
     def stats(self) -> Dict[str, Any]:
@@ -1606,13 +1609,7 @@ class SolverService:
             "scheduler": self.scheduler.stats(),
             "pool": self.pool.stats(),
             "breaker": self.breaker.snapshot(),
-            # Which Adaptive Search engine path the workers run ("c" =
-            # compiled walk kernels, "numpy" = fallback) and the vectorised
-            # per-slot population width.
-            "engine": {
-                "kernel_mode": _ckernels.mode(),
-                "population": max(1, int(self.config.population)),
-            },
+            "engine": self._engine_info(),
             "config": {
                 "n_workers": self.pool.n_workers,
                 "walks_per_job": self.config.walks_per_job,

@@ -1,13 +1,37 @@
 """Asyncio HTTP/1.1 front-end for :class:`~repro.service.api.SolverService`.
 
-The threaded front-end (:mod:`repro.service.http`) burns one OS thread per
-in-flight connection, so hundreds of ``wait=true`` clients — the shape of the
-paper's many-concurrent-searches workload — exhaust threads long before the
-service core is busy.  This module serves the **same JSON routes** on a
-single event loop (``asyncio.start_server`` plus a small hand-rolled
-HTTP/1.1 parser; no third-party web stack, per the repository's stdlib+NumPy
-dependency rule), so an idle waiting client costs one coroutine instead of
-one thread, and adds the two capabilities that need an event loop to scale:
+The service's only HTTP front-end: every route runs on a single event loop
+(``asyncio.start_server`` plus a small hand-rolled HTTP/1.1 parser; no
+third-party web stack, per the repository's stdlib+NumPy dependency rule), so
+an idle ``wait=true`` client — the shape of the paper's
+many-concurrent-searches workload — costs one coroutine instead of one OS
+thread.
+
+``POST /solve``
+    Body ``{"order": 18, "kind": "costas", "priority": 0, "max_time": 60,
+    "deadline": 30, "solver": "tabu", "model_options": {}, "wait": false}``.
+    ``kind`` selects any family of the :mod:`repro.problems` registry;
+    ``solver`` any strategy of the :mod:`repro.solvers` registry, an inline
+    or named portfolio, or spec objects (omitted = the server's default).
+    Returns ``200`` with the full result when it resolved immediately (store
+    / construction tier, or ``wait=true``), else ``202`` with
+    ``{"request_id": ..., "status": "pending"}``.  Bad input, an unknown
+    kind or solver, and chunked bodies answer ``400``.  With QoS lanes
+    enabled, optional ``lane`` / ``tenant`` body fields (or the
+    ``X-Repro-Tenant`` header) classify the request.  Overload answers carry
+    the retry contract (``Retry-After`` plus ``"retry"`` / ``"retry_after"``
+    body fields): ``429`` for an exhausted tenant quota, ``503`` for a
+    saturated queue, a shed job, an open breaker or degraded mode, ``504``
+    for an expired deadline.
+``GET /result/<request_id>``
+    ``200`` with the result, ``202`` while pending, ``404`` for unknown ids,
+    ``409`` for cancelled requests.
+``POST /cancel/<request_id>``
+    ``200`` on success, ``404`` for unknown ids, ``409`` when already settled.
+``GET /problems``, ``GET /stats``, ``GET /healthz``
+    The registered problem families; the combined store / scheduler / pool
+    counters; liveness (``503`` with the retry contract when failing, ``200``
+    when ok or degraded).
 
 ``POST /solve-batch``
     Body ``{"items": [{...}, ...], "wait": false, "priority": 0}`` where each
@@ -34,10 +58,6 @@ one thread, and adds the two capabilities that need an event loop to scale:
 Blocking service-core calls (submits, store-touching reads) cross the
 boundary via ``loop.run_in_executor``; waiting on request futures uses
 ``asyncio.wrap_future``, which costs no thread at all.
-
-:class:`AsyncServiceHTTPServer` mirrors the threaded server's surface
-(``port``, ``service``, ``start_background()``, ``stop()``), so everything
-that drives one drives the other — including the HTTP regression tests.
 """
 
 from __future__ import annotations
@@ -55,6 +75,7 @@ from http import HTTPStatus
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import ReproError
+from repro.problems import list_families
 from repro.service.api import (
     ProgressSubscription,
     ServiceConfig,
@@ -66,14 +87,13 @@ from repro.service.faults import (
     DeadlineExceededError,
     ServiceDegradedError,
 )
-from repro.service.http import _MAX_WAIT_SECONDS, _family_listing
 from repro.service.scheduler import (
     RequestSheddedError,
     SchedulerQuotaError,
     SchedulerSaturatedError,
 )
 
-__all__ = ["AsyncServiceHTTPServer", "serve_async"]
+__all__ = ["AsyncServiceHTTPServer"]
 
 #: Hard caps of the HTTP/1.1 parser (one misbehaving client must not be able
 #: to balloon the server's memory).
@@ -87,6 +107,15 @@ _SSE_KEEPALIVE = 10.0
 
 #: SSE event names that end the stream.
 _SSE_TERMINAL = frozenset({"done", "failed", "cancelled"})
+
+#: Upper bound on ``wait=true`` blocking, so a client cannot park a request
+#: forever.
+_MAX_WAIT_SECONDS = 600.0
+
+
+def _family_listing() -> list:
+    """JSON-friendly description of every registered problem family."""
+    return [family.describe() for family in list_families()]
 
 
 class _BadRequest(Exception):
@@ -122,8 +151,7 @@ class _HTTPRequest:
             self.close = connection == "close"
 
     def json(self) -> Optional[Dict[str, Any]]:
-        """The body as a JSON object, ``None`` when malformed (like the
-        threaded front-end's ``_read_json``)."""
+        """The body as a JSON object, ``None`` when malformed."""
         try:
             payload = json.loads(self.body.decode("utf-8") or "{}")
         except (ValueError, UnicodeDecodeError):
@@ -135,9 +163,9 @@ class AsyncServiceHTTPServer:
     """Event-loop HTTP server owning (or borrowing) a :class:`SolverService`.
 
     The socket is bound synchronously in the constructor (so :attr:`port` is
-    immediately valid, like the threaded server); the event loop runs either
-    on a background daemon thread (:meth:`start_background` — tests, embedded
-    use) or on the calling thread (:meth:`serve_forever` — the CLI).
+    immediately valid); the event loop runs either on a background daemon
+    thread (:meth:`start_background` — tests, embedded use) or on the calling
+    thread (:meth:`serve_forever` — the CLI).
     """
 
     def __init__(
@@ -300,10 +328,9 @@ class AsyncServiceHTTPServer:
                 raise _BadRequest(f"malformed header {name.strip()!r}")
             headers[name.strip().lower()] = value.strip()
         if headers.get("transfer-encoding") is not None:
-            # Same contract as the threaded front-end: a chunked body has no
-            # Content-Length, and silently treating it as empty would solve
-            # with default parameters; reject loudly and close (the unread
-            # body would desync a reused connection).
+            # A chunked body has no Content-Length, and silently treating it
+            # as empty would solve with default parameters; reject loudly and
+            # close (the unread body would desync a reused connection).
             raise _BadRequest(
                 "unsupported Transfer-Encoding "
                 f"{headers['transfer-encoding']!r}; "
@@ -805,14 +832,3 @@ class AsyncServiceHTTPServer:
                 self._call(self.service.unsubscribe, subscription)
             )
 
-
-def serve_async(
-    host: str = "127.0.0.1",
-    port: int = 8000,
-    *,
-    config: Optional[ServiceConfig] = None,
-    verbose: bool = True,
-) -> AsyncServiceHTTPServer:
-    """Construct a bound-but-not-serving async server (caller runs
-    ``serve_forever``), mirroring :func:`repro.service.http.serve`."""
-    return AsyncServiceHTTPServer((host, port), config=config, verbose=verbose)

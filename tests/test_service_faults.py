@@ -620,14 +620,13 @@ def _http_call(port, method, path, body=None, timeout=60.0):
 
 
 class TestHTTPChaos:
-    @pytest.mark.parametrize("frontend", ["sync", "async"])
-    def test_chaos_sweep_every_request_terminates(self, tmp_path, frontend):
+    def test_chaos_sweep_every_request_terminates(self, tmp_path):
         """30% worker crashes plus store write faults: every request must
         terminate with a result, a construction/store answer, or a
         well-formed error — never a hang, a leaked subscription or an
         orphan process."""
         config = ServiceConfig(
-            store_path=str(tmp_path / f"chaos-{frontend}.db"),
+            store_path=str(tmp_path / "chaos.db"),
             n_workers=2,
             default_max_time=60.0,
             fault_plan="worker.crash=0.3,store.write.locked=0.3,seed=12",
@@ -636,14 +635,9 @@ class TestHTTPChaos:
             max_walk_retries=4,
             breaker_threshold=1000,  # keep the breaker out of this test
         )
-        if frontend == "sync":
-            from repro.service.http import ServiceHTTPServer
+        from repro.service.http_async import AsyncServiceHTTPServer
 
-            server = ServiceHTTPServer(("127.0.0.1", 0), config=config)
-        else:
-            from repro.service.http_async import AsyncServiceHTTPServer
-
-            server = AsyncServiceHTTPServer(("127.0.0.1", 0), config=config)
+        server = AsyncServiceHTTPServer(("127.0.0.1", 0), config=config)
         server.start_background()
         service = server.service
         try:
@@ -687,12 +681,12 @@ class TestHTTPChaos:
             time.sleep(0.05)
         assert not any(p.is_alive() for p in procs), "orphan worker processes"
 
-    def test_sync_503_carries_retry_after(self, tmp_path):
-        from repro.service.http import ServiceHTTPServer
+    def test_degraded_503_carries_retry_after(self, tmp_path):
+        from repro.service.http_async import AsyncServiceHTTPServer
 
         path = tmp_path / "sick.db"
         path.write_bytes(b"garbage, not sqlite")
-        server = ServiceHTTPServer(
+        server = AsyncServiceHTTPServer(
             ("127.0.0.1", 0),
             config=ServiceConfig(store_path=str(path), n_workers=1),
         )
@@ -713,20 +707,14 @@ class TestHTTPChaos:
         finally:
             server.stop(drain=False)
 
-    @pytest.mark.parametrize("frontend", ["sync", "async"])
-    def test_failing_healthz_carries_retry_contract(self, tmp_path, frontend):
+    def test_failing_healthz_carries_retry_contract(self, tmp_path):
         """A failing /healthz is (usually) transient — workers respawn,
         stores come back — so its 503 must keep the retry contract."""
-        if frontend == "sync":
-            from repro.service.http import ServiceHTTPServer as Server
-        else:
-            from repro.service.http_async import AsyncServiceHTTPServer as Server
+        from repro.service.http_async import AsyncServiceHTTPServer
 
-        server = Server(
+        server = AsyncServiceHTTPServer(
             ("127.0.0.1", 0),
-            config=ServiceConfig(
-                store_path=str(tmp_path / f"hz-{frontend}.db"), n_workers=1
-            ),
+            config=ServiceConfig(store_path=str(tmp_path / "hz.db"), n_workers=1),
         )
         server.start_background()
         try:
@@ -772,14 +760,12 @@ class TestHTTPChaos:
         finally:
             server.stop(drain=False)
 
-    def test_sync_deadline_504_carries_retry_contract(self, tmp_path):
-        from repro.service.http import ServiceHTTPServer
+    def test_deadline_504_carries_retry_contract(self, tmp_path):
+        from repro.service.http_async import AsyncServiceHTTPServer
 
-        server = ServiceHTTPServer(
+        server = AsyncServiceHTTPServer(
             ("127.0.0.1", 0),
-            config=ServiceConfig(
-                store_path=str(tmp_path / "sync504.db"), n_workers=1
-            ),
+            config=ServiceConfig(store_path=str(tmp_path / "504.db"), n_workers=1),
         )
         server.start_background()
         try:
@@ -882,15 +868,13 @@ def _repro_env():
 
 
 class TestGracefulShutdown:
-    @pytest.mark.parametrize("frontend_flag", ["--async", "--sync"])
-    def test_sigterm_drains_and_exits_zero(self, tmp_path, frontend_flag):
+    def test_sigterm_drains_and_exits_zero(self, tmp_path):
         proc = subprocess.Popen(
             [
                 sys.executable,
                 "-m",
                 "repro.cli",
                 "serve",
-                frontend_flag,
                 "--port",
                 "0",
                 "--db",
@@ -986,11 +970,11 @@ class TestClientRetries:
         """A degraded server answers 503 + Retry-After; the client retries,
         then reports the failure cleanly when the condition persists."""
         from repro.cli import main
-        from repro.service.http import ServiceHTTPServer
+        from repro.service.http_async import AsyncServiceHTTPServer
 
         path = tmp_path / "sick.db"
         path.write_bytes(b"garbage, not sqlite")
-        server = ServiceHTTPServer(
+        server = AsyncServiceHTTPServer(
             ("127.0.0.1", 0),
             config=ServiceConfig(store_path=str(path), n_workers=1),
         )
@@ -1016,11 +1000,11 @@ class TestClientRetries:
 
     def test_no_retry_fails_immediately(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.service.http import ServiceHTTPServer
+        from repro.service.http_async import AsyncServiceHTTPServer
 
         path = tmp_path / "sick2.db"
         path.write_bytes(b"garbage, not sqlite")
-        server = ServiceHTTPServer(
+        server = AsyncServiceHTTPServer(
             ("127.0.0.1", 0),
             config=ServiceConfig(store_path=str(path), n_workers=1),
         )

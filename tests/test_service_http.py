@@ -1,4 +1,4 @@
-"""Tests for the stdlib HTTP front-end (and the request/serve CLI plumbing)."""
+"""Tests for the asyncio HTTP front-end's JSON routes."""
 
 from __future__ import annotations
 
@@ -12,12 +12,12 @@ import pytest
 
 from repro.costas.array import is_costas
 from repro.service.api import ServiceConfig
-from repro.service.http import ServiceHTTPServer
+from repro.service.http_async import AsyncServiceHTTPServer
 
 
 @pytest.fixture()
 def server(tmp_path):
-    srv = ServiceHTTPServer(
+    srv = AsyncServiceHTTPServer(
         ("127.0.0.1", 0),
         config=ServiceConfig(
             store_path=str(tmp_path / "http.db"), n_workers=2, default_max_time=120.0
@@ -106,7 +106,7 @@ class TestEndpoints:
         assert {"store", "scheduler", "pool"} <= set(payload)
 
     def test_cancel_endpoint(self, tmp_path):
-        srv = ServiceHTTPServer(
+        srv = AsyncServiceHTTPServer(
             ("127.0.0.1", 0),
             config=ServiceConfig(
                 store_path=str(tmp_path / "cx.db"), n_workers=1, default_max_time=300.0
@@ -133,7 +133,7 @@ class TestEndpoints:
             srv.stop(drain=False)
 
     def test_backpressure_returns_503(self, tmp_path):
-        srv = ServiceHTTPServer(
+        srv = AsyncServiceHTTPServer(
             ("127.0.0.1", 0),
             config=ServiceConfig(
                 store_path=str(tmp_path / "bp.db"),

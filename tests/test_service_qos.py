@@ -311,10 +311,10 @@ class TestLaneStats:
 @pytest.fixture(scope="module")
 def qos_server(tmp_path_factory):
     from repro.service.api import ServiceConfig
-    from repro.service.http import ServiceHTTPServer
+    from repro.service.http_async import AsyncServiceHTTPServer
 
     tmp_path = tmp_path_factory.mktemp("qos-http")
-    srv = ServiceHTTPServer(
+    srv = AsyncServiceHTTPServer(
         ("127.0.0.1", 0),
         config=ServiceConfig(
             store_path=str(tmp_path / "qos.db"),
@@ -406,7 +406,8 @@ class TestQoSOverHTTP:
 
 
 class TestQoSOverAsyncHTTP:
-    """The async front-end speaks the same lane/tenant/429 dialect."""
+    """Header-borne tenants, per-item batch quotas and lanes on a fresh
+    server per test (``capped`` quota)."""
 
     @pytest.fixture()
     def async_server(self, tmp_path):
