@@ -4,8 +4,8 @@ Each benchmark regenerates one ablation table.  The assertions are
 deliberately soft for the refinements whose effect the paper itself reports as
 modest (17% / 30%): at reproduction scale and run counts those differences are
 within noise, so the benchmark only requires that every variant still solves
-its instances; EXPERIMENTS.md records the measured ratios.  The dedicated
-reset — the paper's 3.7x refinement — must show a clear win.
+its instances; the regenerated tables print the measured ratios.  The
+dedicated reset — the paper's 3.7x refinement — must show a clear win.
 """
 
 from __future__ import annotations

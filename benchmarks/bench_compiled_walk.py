@@ -2,8 +2,10 @@
 
 Times three rungs of the same ladder on the Costas model:
 
-* ``numpy`` — the Python/NumPy engine over the incremental count-table model
-  (the PR-1 fast path; per-move kernels may still be C-accelerated);
+* ``numpy`` — the Python loop of :class:`repro.core.engine.AdaptiveSearch`
+  over the incremental count-table model (per-move kernels may still be
+  C-accelerated), reached through ``engine._solve_python`` because
+  ``AdaptiveSearch.solve`` itself runs this model's loop in the walk kernel;
 * ``compiled`` — :class:`repro.core.cwalk.CompiledAdaptiveSearch`, where the
   whole inner loop (culprit selection, swap scoring, tabu, resets, restarts)
   runs inside one C call per check period;
@@ -41,7 +43,7 @@ import numpy as np
 
 from repro.core import _ckernels
 from repro.core.cwalk import CompiledAdaptiveSearch
-from repro.core.engine import AdaptiveSearch
+from repro.core.engine import _solve_python
 from repro.core.params import ASParameters
 from repro.models.costas import CostasProblem
 
@@ -50,13 +52,12 @@ DEFAULT_POPULATIONS = (1, 2, 4, 8)
 
 def measure_numpy(order: int, iterations: int, seeds: int) -> dict:
     """Iterations/sec of the NumPy engine on the incremental Costas model."""
-    engine = AdaptiveSearch()
     params = ASParameters.for_costas(order, max_iterations=iterations)
     total_iterations = 0
     total_time = 0.0
     solved = 0
     for seed in range(seeds):
-        result = engine.solve(CostasProblem(order), seed=seed, params=params)
+        result = _solve_python(CostasProblem(order), seed=seed, params=params)
         total_iterations += result.iterations
         total_time += result.wall_time
         solved += int(result.solved)

@@ -4,11 +4,11 @@ Honesty note: the paper measures this comparison at CAP 19, where a complete
 CP solver needs hours while Adaptive Search needs seconds.  At the orders a
 pure-Python reproduction can afford (n <= 13-14), a forward-checking solver
 still finds *one* Costas array quickly — Costas arrays are plentiful below
-order ~16 — so the 400x gap is **not** visible at this scale (EXPERIMENTS.md
-discusses this in detail).  What the benchmark checks instead is the structural
-driver of the paper's observation: the CP search effort (node count) blows up
-much faster with the order than the local-search effort does, which is what
-eventually produces the gap at the paper's instance sizes.
+order ~16 — so the 400x gap is **not** visible at this scale.  What the
+benchmark checks instead is the structural driver of the paper's observation:
+the CP search effort (node count) blows up much faster with the order than the
+local-search effort does, which is what eventually produces the gap at the
+paper's instance sizes.
 """
 
 from __future__ import annotations

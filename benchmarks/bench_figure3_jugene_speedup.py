@@ -15,8 +15,8 @@ def test_figure3_jugene_speedups(benchmark, scale, runner):
     for order, rows in by_order.items():
         rows.sort(key=lambda r: r["cores"])
         speedups = [r["speedup"] for r in rows]
-        # At reproduction scale these core counts sit in the saturation regime
-        # (EXPERIMENTS.md): require the curve not to degrade as cores grow and
+        # At reproduction scale these core counts sit in the saturation
+        # regime: require the curve not to degrade as cores grow and
         # every point to stay within a tolerance of its reference.
         assert min(speedups) >= 0.9, order
         assert speedups[-1] >= speedups[0] * 0.95, order

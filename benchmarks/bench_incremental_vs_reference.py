@@ -6,7 +6,10 @@ optionally C-accelerated) and :class:`~repro.models.costas.ReferenceCostasProble
 (the original full-recompute implementation) — and reports iterations/sec per
 order.  Both paths produce *bit-identical trajectories* for a given seed
 (pinned by ``tests/test_incremental_equivalence.py``), so the ratio is a pure
-like-for-like timing of the evaluation subsystem.
+like-for-like timing of the evaluation subsystem.  Both paths run the
+engine's Python loop (``engine._solve_python``): ``AdaptiveSearch.solve``
+would hand the incremental model's loop to the C walk kernel, which would
+time the loop instead of the evaluation.
 
 Results are written to ``BENCH_engine.json`` (see ``--out``) so perf
 regressions show up as a diff; CI runs the ``--quick`` preset as a smoke.
@@ -30,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import _ckernels
-from repro.core.engine import AdaptiveSearch
+from repro.core.engine import _solve_python
 from repro.core.params import ASParameters
 from repro.models.costas import CostasProblem, ReferenceCostasProblem
 
@@ -41,7 +44,6 @@ def measure_path(
     factory, orders, iterations: int, seeds: int
 ) -> dict:
     """Iterations/sec of one code path per order (identical seeds across paths)."""
-    engine = AdaptiveSearch()
     out = {}
     for n in orders:
         params = ASParameters.for_costas(n, max_iterations=iterations)
@@ -49,7 +51,7 @@ def measure_path(
         total_time = 0.0
         solved = 0
         for seed in range(seeds):
-            result = engine.solve(factory(n), seed=seed, params=params)
+            result = _solve_python(factory(n), seed=seed, params=params)
             total_iterations += result.iterations
             total_time += result.wall_time
             solved += int(result.solved)

@@ -14,7 +14,7 @@ def test_table4_jugene_parallel_times(benchmark, scale, runner):
     for order in result.metadata["orders"]:
         avg_times = [stats[order][str(c)]["avg"] for c in cores]
         # At reproduction scale (small instances), the 512-8192 core range is
-        # deep in the saturation regime (see EXPERIMENTS.md): the expected time
+        # deep in the saturation regime: the expected time
         # is dominated by the distribution's shift, so we only require that
         # adding cores never makes things noticeably worse and that the
         # best-case column stays far below the sequential average.

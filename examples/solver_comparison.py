@@ -97,7 +97,7 @@ def main(max_order: int = 11, runs: int = 5) -> None:
     print(
         "\nNote: the complete CP solver remains competitive at these small orders; "
         "the paper's 400x gap appears at order ~19, beyond what a pure-Python "
-        "reproduction can time comfortably (see EXPERIMENTS.md)."
+        "reproduction can time comfortably."
     )
 
 

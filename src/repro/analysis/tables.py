@@ -3,7 +3,7 @@
 The benchmark harness prints, for every reproduced table, rows with the same
 structure as the original (instance size, then avg/med/min/max per core count,
 etc.).  Keeping the formatting in one place makes the benchmark output easy to
-diff against EXPERIMENTS.md and keeps the experiment drivers free of string
+diff against the paper's tables and keeps the experiment drivers free of string
 fiddling.
 """
 

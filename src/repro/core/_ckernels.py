@@ -73,6 +73,9 @@ _SIGNATURES = {
     # --- compiled walk engine ---
     "walk_rng_stream": ([_i64, _i64, _p64], None),
     "walk_rng_draws": ([_i64, _i64, _i64, _p64, _pdbl], None),
+    "gen_rng_draws": ([_p64, _p64, _i64, _p64, _pdbl], None),
+    "gen_rng_shuffle": ([_p64, _p64, _i64], None),
+    "gen_rng_choice": ([_p64, _i64, _i64, _p64, _p64], None),
     "as_walk_init": (
         [_p64, _p64, _i64, _p64, _i64, _p64, _p64, _p64, _p64, _p64, _p64],
         None,
@@ -93,6 +96,7 @@ _SIGNATURES = {
             _p64,  # tbl1
             _p64,  # tbl2
             _p64,  # scratch
+            _p64,  # gen: numpy generator block, NULL = xoshiro
         ],
         _i64,
     ),

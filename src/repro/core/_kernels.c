@@ -213,10 +213,15 @@ void costas_batch_costs(const i64 *cands, i64 m, i64 n, i64 D, i64 off,
  * walks (culprit selection with tabu masking and the all-tabu edge case,
  * min-conflict swap scoring, plateau/local-minimum/escape decisions, tabu
  * marking, generic and dedicated resets, restarts) and returns to Python
- * only at check-period boundaries.  All randomness comes from an embedded
- * xoshiro256** stream seeded through splitmix64; repro/core/cwalk.py holds
- * a line-for-line Python mirror, and the trajectory test-suite asserts
- * bit-exact equality between the two.
+ * only at check-period boundaries.  Every draw goes through one RNG source
+ * per walk (wk_src below), and the one loop runs on either source:
+ *   - an embedded xoshiro256** stream seeded through splitmix64 (the
+ *     compiled engine's own stream; repro/core/cwalk_mirror.py holds a
+ *     line-for-line Python mirror, pinned bit-exact by the trajectory
+ *     test-suite);
+ *   - the caller's numpy.random.Generator, drawn through its bit
+ *     generator's ctypes interface with numpy's own draw algorithms, so the
+ *     walk is the NumPy engine's (repro/core/engine.py) bit for bit.
  *
  * Families (pi[WK_FAMILY]): 0 = Costas (tbl1 = difference-triangle rows,
  * tbl2 = occurrence counts, reusing the kernels above), 1 = N-Queens
@@ -304,6 +309,168 @@ void walk_rng_draws(i64 seed, i64 k, i64 count, i64 *out_below, double *out_doub
         out_below[t] = wk_below(&r, k);
         out_double[t] = wk_double(&r);
     }
+}
+
+/* -------------------------------------------------------- RNG sources
+ * A walk draws from one wk_src.  With st == NULL it is the xoshiro stream
+ * above; otherwise st is a numpy bit generator's state address and u32/dbl
+ * its next_uint32/next_double functions (BitGenerator.ctypes), passed in as
+ * the block gen[3] = {state_address, next_uint32, next_double}.  In that
+ * mode each primitive reproduces the numpy.random.Generator method the
+ * NumPy engine calls (numpy/random/src/distributions):
+ *   integers(k)                  Lemire bounded draw on next_uint32
+ *   random()                     next_double
+ *   permutation(m), shuffle(a)   backward Fisher-Yates on random_interval
+ *   choice(n, k, replace=False)  Floyd's algorithm, then a backward shuffle
+ *                                of the k picks on Lemire draws (numpy's
+ *                                path for n <= 10000)
+ * Bounds stay within [0, 2^32 - 1] (the caller limits n), the range numpy
+ * serves from 32-bit draws.  next_uint32 hands out each 64-bit draw of PCG64 as
+ * two halves; calling through the pointer keeps that buffering exact. */
+typedef uint32_t (*wk_u32_fn)(void *);
+typedef double (*wk_dbl_fn)(void *);
+
+typedef struct {
+    wk_rng x;      /* xoshiro words (st == NULL) */
+    void *st;      /* numpy bit generator state, or NULL */
+    wk_u32_fn u32;
+    wk_dbl_fn dbl;
+} wk_src;
+
+/* Open a numpy generator source from its block gen[3]. */
+static void wk_src_gen(wk_src *r, const i64 *gen)
+{
+    for (int t = 0; t < 4; t++) r->x.s[t] = 0;
+    r->st = (void *)(uintptr_t)gen[0];
+    r->u32 = (wk_u32_fn)(uintptr_t)gen[1];
+    r->dbl = (wk_dbl_fn)(uintptr_t)gen[2];
+}
+
+/* Open a walk's source: the numpy generator block when gen != NULL, else
+ * the xoshiro words saved in slots[0..3]. */
+static void wk_src_open(wk_src *r, const i64 *gen, const i64 *slots)
+{
+    if (gen) {
+        wk_src_gen(r, gen);
+    } else {
+        r->st = 0;
+        for (int t = 0; t < 4; t++) r->x.s[t] = (u64)slots[t];
+    }
+}
+
+static void wk_src_save(const wk_src *r, i64 *slots)
+{
+    if (!r->st)
+        for (int t = 0; t < 4; t++) slots[t] = (i64)r->x.s[t];
+}
+
+/* numpy's buffered_bounded_lemire_uint32: uniform in [0, rng]. */
+static i64 np_lemire(wk_src *r, u64 rng)
+{
+    if (rng == 0) return 0;  /* integers(1) consumes no draw */
+    if (rng == UINT32_MAX) return (i64)r->u32(r->st);
+    const uint32_t rng32 = (uint32_t)rng, excl = rng32 + 1;
+    u64 m = (u64)r->u32(r->st) * excl;
+    uint32_t left = (uint32_t)m;
+    if (left < excl) {
+        const uint32_t threshold = (UINT32_MAX - rng32) % excl;
+        while (left < threshold) {
+            m = (u64)r->u32(r->st) * excl;
+            left = (uint32_t)m;
+        }
+    }
+    return (i64)(m >> 32);
+}
+
+/* numpy's random_interval: masked rejection, uniform in [0, max]. */
+static i64 np_interval(wk_src *r, u64 max)
+{
+    if (max == 0) return 0;
+    u64 mask = max, v;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    mask |= mask >> 32;
+    while ((v = (r->u32(r->st) & mask)) > max)
+        ;
+    return (i64)v;
+}
+
+/* Uniform integer in [0, k); k >= 1. */
+static i64 src_below(wk_src *r, i64 k)
+{
+    return r->st ? np_lemire(r, (u64)(k - 1)) : wk_below(&r->x, k);
+}
+
+/* Uniform double in [0, 1). */
+static double src_double(wk_src *r)
+{
+    return r->st ? r->dbl(r->st) : wk_double(&r->x);
+}
+
+/* Backward Fisher-Yates shuffle of arr[0..m-1]. */
+static void src_shuffle(wk_src *r, i64 *arr, i64 m)
+{
+    if (!r->st) {
+        wk_shuffle(&r->x, arr, m);
+        return;
+    }
+    for (i64 t = m - 1; t >= 1; t--) {
+        i64 q = np_interval(r, (u64)t);
+        i64 tmp = arr[t];
+        arr[t] = arr[q];
+        arr[q] = tmp;
+    }
+}
+
+/* choice(n, k, replace=False) into out[0..k-1]; seen[n] is scratch. */
+static void np_choice(wk_src *r, i64 n, i64 k, i64 *out, i64 *seen)
+{
+    for (i64 t = 0; t < n; t++) seen[t] = 0;
+    for (i64 j = n - k; j < n; j++) {
+        i64 v = np_lemire(r, (u64)j);
+        if (seen[v]) v = j;  /* already picked: Floyd takes j itself */
+        seen[v] = 1;
+        out[j - (n - k)] = v;
+    }
+    for (i64 t = k - 1; t >= 1; t--) {
+        i64 q = np_lemire(r, (u64)t);
+        i64 tmp = out[t];
+        out[t] = out[q];
+        out[q] = tmp;
+    }
+}
+
+/* Test probe: a mixed sequence of generator draws; ks[t] > 0 draws
+ * integers(ks[t]) into out_int[t], ks[t] == 0 draws random() into
+ * out_double[t]. */
+void gen_rng_draws(const i64 *gen, const i64 *ks, i64 count, i64 *out_int,
+                   double *out_double)
+{
+    wk_src r;
+    wk_src_gen(&r, gen);
+    for (i64 t = 0; t < count; t++) {
+        if (ks[t] > 0) out_int[t] = src_below(&r, ks[t]);
+        else out_double[t] = src_double(&r);
+    }
+}
+
+/* Test probe: shuffle(arr) in place (permutation(m) shuffles arange(m)). */
+void gen_rng_shuffle(const i64 *gen, i64 *arr, i64 m)
+{
+    wk_src r;
+    wk_src_gen(&r, gen);
+    src_shuffle(&r, arr, m);
+}
+
+/* Test probe: choice(n, k, replace=False) into out; seen[n] is scratch. */
+void gen_rng_choice(const i64 *gen, i64 n, i64 k, i64 *out, i64 *seen)
+{
+    wk_src r;
+    wk_src_gen(&r, gen);
+    np_choice(&r, n, k, out, seen);
 }
 
 /* ------------------------------------------------- parameter/state slots */
@@ -619,20 +786,26 @@ static i64 wk_apply(const i64 *pi, const i64 *wd, i64 *p, i64 *t1, i64 *t2,
 }
 
 /* ------------------------------------------------------------- resets */
-/* Re-randomise k variables: a partial Fisher-Yates picks the positions,
- * a full shuffle redistributes their values (caller rebuilds tables). */
-static void wk_generic_reset(wk_rng *r, i64 *p, i64 n, i64 k,
-                             i64 *idx, i64 *vals)
+/* Re-randomise k variables: pick k positions, then shuffle the values they
+ * hold among them (caller rebuilds tables).  The xoshiro stream picks with a
+ * partial Fisher-Yates; a numpy generator with choice(n, k, replace=False),
+ * as AdaptiveSearch._generic_reset does.  seen[n] is scratch. */
+static void wk_generic_reset(wk_src *r, i64 *p, i64 n, i64 k,
+                             i64 *idx, i64 *vals, i64 *seen)
 {
-    for (i64 t = 0; t < n; t++) idx[t] = t;
-    for (i64 t = 0; t < k; t++) {
-        i64 q = t + wk_below(r, n - t);
-        i64 tmp = idx[t];
-        idx[t] = idx[q];
-        idx[q] = tmp;
+    if (r->st) {
+        np_choice(r, n, k, idx, seen);
+    } else {
+        for (i64 t = 0; t < n; t++) idx[t] = t;
+        for (i64 t = 0; t < k; t++) {
+            i64 q = t + wk_below(&r->x, n - t);
+            i64 tmp = idx[t];
+            idx[t] = idx[q];
+            idx[q] = tmp;
+        }
     }
     for (i64 t = 0; t < k; t++) vals[t] = p[idx[t]];
-    wk_shuffle(r, vals, k);
+    src_shuffle(r, vals, k);
     for (i64 t = 0; t < k; t++) p[idx[t]] = vals[t];
 }
 
@@ -655,9 +828,9 @@ static i64 costas_cand_cost(const i64 *c, i64 n, i64 D, i64 off,
 /* The paper's dedicated Costas reset (Section IV-B): three candidate
  * families anchored on the most erroneous column, examined in random order;
  * the first strict improvement wins, else a uniformly random minimum-cost
- * candidate.  Same candidates and selection policy as
- * CostasProblem.custom_reset, driven by the walk's own RNG stream. */
-static i64 costas_dedicated_reset(wk_rng *r, i64 *p, i64 *rows, i64 *cnt,
+ * candidate.  Same candidates, selection policy and draws as
+ * CostasProblem.custom_reset, driven by the walk's RNG source. */
+static i64 costas_dedicated_reset(wk_src *r, i64 *p, i64 *rows, i64 *cnt,
                                   const i64 *pi, const i64 *wd,
                                   const i64 *consts, const i64 *errs,
                                   i64 entry_cost, i64 *stamp, i64 *epoch,
@@ -674,7 +847,7 @@ static i64 costas_dedicated_reset(wk_rng *r, i64 *p, i64 *rows, i64 *cnt,
     i64 wcnt = 0;
     for (i64 k = 0; k < n; k++)
         if (errs[k] == worst) wcnt++;
-    i64 rp = wk_below(r, wcnt);
+    i64 rp = src_below(r, wcnt);
     i64 vm = 0;
     for (i64 k = 0; k < n; k++)
         if (errs[k] == worst && rp-- == 0) { vm = k; break; }
@@ -704,7 +877,7 @@ static i64 costas_dedicated_reset(wk_rng *r, i64 *p, i64 *rows, i64 *cnt,
     for (i64 k = 0; k < n; k++)
         if (errs[k] > 0 && k != vm) errk[ne++] = k;
     if (ne > 0) {
-        wk_shuffle(r, errk, ne);
+        src_shuffle(r, errk, ne);
         i64 take = ne < 3 ? ne : 3;
         for (i64 t = 0; t < take; t++) {
             i64 e = errk[t];
@@ -721,7 +894,7 @@ static i64 costas_dedicated_reset(wk_rng *r, i64 *p, i64 *rows, i64 *cnt,
 
     /* Random examination order; first strict improvement wins. */
     for (i64 t = 0; t < m; t++) corder[t] = t;
-    wk_shuffle(r, corder, m);
+    src_shuffle(r, corder, m);
     i64 chosen = -1;
     i64 bestc = WK_I64_MAX;
     for (i64 t = 0; t < m; t++) {
@@ -733,7 +906,7 @@ static i64 costas_dedicated_reset(wk_rng *r, i64 *p, i64 *rows, i64 *cnt,
         i64 tcnt = 0;
         for (i64 t = 0; t < m; t++)
             if (ccost[corder[t]] == bestc) tcnt++;
-        i64 tp = wk_below(r, tcnt);
+        i64 tp = src_below(r, tcnt);
         for (i64 t = 0; t < m; t++)
             if (ccost[corder[t]] == bestc && tp-- == 0) { chosen = corder[t]; break; }
     }
@@ -785,11 +958,15 @@ void as_walk_init(const i64 *pi, const i64 *wd, i64 W, const i64 *seeds,
 /* Advance every still-running walk by up to `steps` iterations; returns the
  * number of walks still running afterwards.  `scratch` is the shared
  * workspace laid out as deltas[n] idx[n] vals[n] stamp[2n-1] errk[n]
- * cand[M*n] ccost[M] corder[M] with M = 2(n-1) + n_consts + 3. */
+ * cand[M*n] ccost[M] corder[M] with M = 2(n-1) + n_consts + 3 (the generic
+ * reset borrows errk as its seen[] scratch).  `gen` selects the RNG source:
+ * NULL runs each walk on its xoshiro words in the WS_RNG slots; a numpy
+ * generator block (see wk_src) draws every walk from that one generator,
+ * which the caller holds locked for the call (W == 1 in practice). */
 i64 as_walk_run(const i64 *pi, const double *pd, const i64 *wd,
                 const i64 *consts, i64 W, i64 steps, i64 *state, i64 *perm,
                 i64 *tabu, i64 *errs, i64 *best, i64 *tbl1, i64 *tbl2,
-                i64 *scratch)
+                i64 *scratch, const i64 *gen)
 {
     i64 n = pi[WK_N];
     i64 target = pi[WK_TARGET], max_iter = pi[WK_MAXITER];
@@ -825,8 +1002,8 @@ i64 as_walk_run(const i64 *pi, const double *pd, const i64 *wd,
         i64 *bc = best + w * n;
         i64 *t1 = tbl1 + w * s1;
         i64 *t2 = tbl2 + w * s2;
-        wk_rng r;
-        for (i64 t = 0; t < 4; t++) r.s[t] = (u64)st[WS_RNG0 + t];
+        wk_src r;
+        wk_src_open(&r, gen, st + WS_RNG0);
         i64 cost = st[WS_COST], iter = st[WS_ITER];
         i64 swaps = st[WS_SWAPS], plateau = st[WS_PLATEAU];
         i64 localmin = st[WS_LOCALMIN], resets = st[WS_RESETS];
@@ -866,7 +1043,7 @@ i64 as_walk_run(const i64 *pi, const double *pd, const i64 *wd,
                 if (e > maxv) { maxv = e; cnt = 1; }
                 else if (e == maxv) cnt++;
             }
-            i64 rp = wk_below(&r, cnt);
+            i64 rp = src_below(&r, cnt);
             i64 culprit = 0;
             for (i64 k = 0; k < n; k++) {
                 i64 e = (masked && tb[k] >= iter) ? -1 : er[k];
@@ -882,18 +1059,18 @@ i64 as_walk_run(const i64 *pi, const double *pd, const i64 *wd,
             if (bd < 0) {
                 take = 1;
             } else if (bd == 0) {
-                if (wk_double(&r) < plateau_p) { take = 1; plateau++; }
+                if (src_double(&r) < plateau_p) { take = 1; plateau++; }
                 else marked = 1;
             } else {
                 localmin++;
-                if (wk_double(&r) < localmin_p) take = 1; /* uphill escape */
+                if (src_double(&r) < localmin_p) take = 1; /* uphill escape */
                 else marked = 1;
             }
             if (take) {
                 i64 tc = 0;
                 for (i64 k = 0; k < n; k++)
                     if (deltas[k] == bd) tc++;
-                i64 tp = wk_below(&r, tc);
+                i64 tp = src_below(&r, tc);
                 i64 partner = 0;
                 for (i64 k = 0; k < n; k++)
                     if (deltas[k] == bd && tp-- == 0) { partner = k; break; }
@@ -913,7 +1090,7 @@ i64 as_walk_run(const i64 *pi, const double *pd, const i64 *wd,
                             &r, p, t1, t2, pi, wd, consts, er, cost, stamp,
                             &epoch, errk, cand, ccost, corder);
                     } else {
-                        wk_generic_reset(&r, p, n, reset_k, idx, vals);
+                        wk_generic_reset(&r, p, n, reset_k, idx, vals, errk);
                         cost = wk_rebuild(pi, wd, p, t1, t2);
                     }
                     errvalid = 0;
@@ -926,7 +1103,7 @@ i64 as_walk_run(const i64 *pi, const double *pd, const i64 *wd,
                 && restarts < max_restarts) {
                 restarts++;
                 for (i64 k = 0; k < n; k++) p[k] = k;
-                wk_shuffle(&r, p, n);
+                src_shuffle(&r, p, n);
                 cost = wk_rebuild(pi, wd, p, t1, t2);
                 errvalid = 0;
                 for (i64 k = 0; k < n; k++) tb[k] = 0;
@@ -939,7 +1116,7 @@ i64 as_walk_run(const i64 *pi, const double *pd, const i64 *wd,
             }
         }
 
-        for (i64 t = 0; t < 4; t++) st[WS_RNG0 + t] = (i64)r.s[t];
+        wk_src_save(&r, st + WS_RNG0);
         st[WS_COST] = cost;
         st[WS_ITER] = iter;
         st[WS_SWAPS] = swaps;

@@ -11,22 +11,36 @@ callbacks — exactly the cadence :class:`~repro.core.strategy.StrategyRun`
 polls at, so the external-stop contract ("a stop is honoured within one
 ``check_period``") is preserved.
 
-Randomness comes from a per-walk xoshiro256** stream embedded in the kernel
-(seeded through splitmix64), with a line-for-line Python mirror in
-:mod:`repro.core.cwalk_mirror`; compiled and mirror trajectories are
-bit-exact, which is how the kernel is tested.  Because the stream differs
-from NumPy's PCG64, compiled runs are *different random walks* than the
-NumPy engine's — equally valid, same semantics and counters, not the same
-trajectory.
+The kernel runs one loop on either of two RNG sources:
+
+* **its own xoshiro256** stream** per walk (seeded through splitmix64),
+  with a line-for-line Python mirror in :mod:`repro.core.cwalk_mirror`;
+  compiled and mirror trajectories are bit-exact, which is how that mode is
+  tested.  :class:`CompiledAdaptiveSearch` and :class:`WalkPopulation` use
+  it.  Because the stream differs from NumPy's, these are *different random
+  walks* than the NumPy engine's — equally valid, same semantics and
+  counters, not the same trajectory.
+* **the caller's** :class:`numpy.random.Generator`, drawn through its bit
+  generator's ctypes interface with numpy's own draw algorithms
+  (:func:`run_generator_walk`).  That walk *is* the NumPy engine's walk, bit
+  for bit: :meth:`AdaptiveSearch.solve <repro.core.engine.AdaptiveSearch.solve>`
+  runs its inner loop here whenever it can, and keeps its Python loop as the
+  fallback and the oracle.  A per-process self-check compares the kernel's
+  draws with the generator's own before the first such walk, so a change in
+  numpy's algorithms sends walks back to the Python loop instead of
+  silently changing seeded results.
 
 Three families compile (Costas, N-Queens, All-Interval).  Everything else —
 and every environment without a C toolchain or with ``REPRO_NO_CKERNELS``
 set — transparently falls back to the NumPy engine, reporting
-``extra["engine"] = "numpy-fallback"``.
+``extra["engine"] = "numpy-fallback"`` from :class:`CompiledAdaptiveSearch`.
 """
 
 from __future__ import annotations
 
+import copy
+import ctypes
+import logging
 import os
 import time
 from dataclasses import dataclass
@@ -40,6 +54,7 @@ from repro.core.params import ASParameters
 from repro.core.problem import PermutationProblem
 from repro.core.result import SolveResult
 from repro.core.rng import SeedLike
+from repro.core.strategy import StrategyRun
 
 __all__ = [
     "CompiledAdaptiveSearch",
@@ -48,7 +63,10 @@ __all__ = [
     "walk_spec",
     "supports",
     "population_seeds",
+    "run_generator_walk",
 ]
+
+_log = logging.getLogger("repro.cwalk")
 
 # ------------------------------------------------------------------- layout
 # Slot indices mirroring the enums in _kernels.c — keep in lockstep.
@@ -239,33 +257,210 @@ class WalkPopulation:
             self.tbl1.ctypes.data,
             self.tbl2.ctypes.data,
         )
+        # The batch arrays live as long as the population, so run() passes
+        # addresses resolved once here (a .ctypes lookup per argument per
+        # call is a measurable share of a short walk).
+        self._spec_args = (
+            spec.pi.ctypes.data,
+            spec.pd.ctypes.data,
+            spec.wd.ctypes.data,
+            spec.consts.ctypes.data,
+            W,
+        )
+        self._batch_args = tuple(
+            arr.ctypes.data
+            for arr in (
+                self.state, self.perm, self.tabu, self.errs, self.best,
+                self.tbl1, self.tbl2, self.scratch,
+            )
+        )
 
-    def run(self, steps: int) -> int:
+    def run(self, steps: int, gen: Optional[np.ndarray] = None) -> int:
         """Advance every running walk by up to *steps* iterations.
 
         Returns the number of walks still running.  ``steps=0`` only settles
         statuses (target / iteration-budget checks) without consuming RNG
-        draws — the driver uses it for the iteration-0 boundary.
+        draws — the driver uses it for the iteration-0 boundary.  *gen* is a
+        :func:`_generator_block` to draw from instead of the walks' xoshiro
+        streams; the caller holds that generator's lock.
         """
-        spec = self.spec
         return int(
             self.lib.as_walk_run(
-                spec.pi.ctypes.data,
-                spec.pd.ctypes.data,
-                spec.wd.ctypes.data,
-                spec.consts.ctypes.data,
-                self.W,
+                *self._spec_args,
                 int(steps),
-                self.state.ctypes.data,
-                self.perm.ctypes.data,
-                self.tabu.ctypes.data,
-                self.errs.ctypes.data,
-                self.best.ctypes.data,
-                self.tbl1.ctypes.data,
-                self.tbl2.ctypes.data,
-                self.scratch.ctypes.data,
+                *self._batch_args,
+                None if gen is None else gen.ctypes.data,
             )
         )
+
+
+# ---------------------------------------------------------- generator walks
+#: Largest n for which numpy's ``choice(n, k, replace=False)`` takes the
+#: Floyd path, the one the kernel reproduces for the generic reset.
+_GENERATOR_MAX_N = 10_000
+
+#: Self-check verdict per bit generator class (see :func:`_generator_ok`).
+_generator_verified: Dict[type, bool] = {}
+
+
+def _generator_block(rng: np.random.Generator) -> np.ndarray:
+    """The kernel's ``gen[3]`` block for *rng*: its bit generator's state
+    address and ``next_uint32``/``next_double`` function addresses."""
+    iface = rng.bit_generator.ctypes
+    return np.array(
+        [
+            iface.state_address,
+            ctypes.cast(iface.next_uint32, ctypes.c_void_p).value,
+            ctypes.cast(iface.next_double, ctypes.c_void_p).value,
+        ],
+        dtype=np.uint64,
+    ).view(np.int64)
+
+
+def _self_check(lib: Any, rng: np.random.Generator) -> bool:
+    """Draw a mixed script through the kernel and through numpy, each from
+    its own clone of *rng*'s state; ``True`` when every draw and the end
+    states agree.  *rng* itself is not advanced."""
+    ours = np.random.Generator(copy.deepcopy(rng.bit_generator))
+    theirs = np.random.Generator(copy.deepcopy(rng.bit_generator))
+    gen = _generator_block(ours)
+    # Bounds 0 draw random(); 1 draws nothing; 3 * 2**30 exercises Lemire's
+    # rejection loop, which small bounds almost never enter.
+    ks = np.array(
+        [0 if t % 4 == 0 else (1, 2, 7, 13, 100, 9973, 3 * 2**30)[t % 7]
+         for t in range(256)],
+        dtype=np.int64,
+    )
+    ints = np.zeros(ks.size, dtype=np.int64)
+    dbls = np.zeros(ks.size, dtype=np.float64)
+    lib.gen_rng_draws(
+        gen.ctypes.data, ks.ctypes.data, ks.size, ints.ctypes.data, dbls.ctypes.data
+    )
+    for t, k in enumerate(ks.tolist()):
+        expected = theirs.random() if k == 0 else int(theirs.integers(k))
+        if expected != (dbls[t] if k == 0 else ints[t]):
+            return False
+    for m in (1, 2, 5, 13, 40):
+        arr = np.arange(m, dtype=np.int64)
+        lib.gen_rng_shuffle(gen.ctypes.data, arr.ctypes.data, m)
+        if not np.array_equal(arr, theirs.permutation(m)):
+            return False
+    for n, k in ((13, 2), (40, 4), (64, 64)):
+        out = np.zeros(k, dtype=np.int64)
+        seen = np.zeros(n, dtype=np.int64)
+        lib.gen_rng_choice(gen.ctypes.data, n, k, out.ctypes.data, seen.ctypes.data)
+        if not np.array_equal(out, theirs.choice(n, size=k, replace=False)):
+            return False
+    return repr(ours.bit_generator.state) == repr(theirs.bit_generator.state)
+
+
+def _generator_ok(lib: Any, rng: np.random.Generator) -> bool:
+    """Whether the kernel reproduces *rng*'s draws, checked once per bit
+    generator class and process; a mismatch is logged once."""
+    kind = type(rng.bit_generator)
+    ok = _generator_verified.get(kind)
+    if ok is None:
+        try:
+            ok = _self_check(lib, rng)
+        except Exception:  # no ctypes interface, exotic bit generator...
+            ok = False
+            _log.warning(
+                "generator self-check raised for numpy %s; AdaptiveSearch "
+                "keeps its Python loop",
+                kind.__name__,
+                exc_info=True,
+            )
+        else:
+            if not ok:
+                _log.warning(
+                    "C walk kernel does not reproduce numpy %s draws "
+                    "(numpy %s); AdaptiveSearch keeps its Python loop",
+                    kind.__name__,
+                    np.__version__,
+                )
+        _generator_verified[kind] = ok
+    return ok
+
+
+def _generator_spec(
+    problem: PermutationProblem, params: ASParameters
+) -> Optional[WalkSpec]:
+    """The kernel spec for AdaptiveSearch's own walk of *problem*, or
+    ``None`` when that walk must run the Python loop.
+
+    Only the exact model classes whose NumPy methods the kernel reproduces
+    qualify (a subclass may override any of them), the Costas model only
+    with its C kernels enabled, and only up to :data:`_GENERATOR_MAX_N`.
+    """
+    from repro.models.all_interval import AllIntervalProblem
+    from repro.models.costas import CostasProblem
+    from repro.models.queens import NQueensProblem
+
+    kind = type(problem)
+    if kind is CostasProblem:
+        if problem._lib is None:
+            return None
+    elif kind is not NQueensProblem and kind is not AllIntervalProblem:
+        return None
+    if problem.size > _GENERATOR_MAX_N or _ckernels.load() is None:
+        return None
+    return walk_spec(problem, params)
+
+
+def run_generator_walk(
+    run: StrategyRun,
+    problem: PermutationProblem,
+    params: ASParameters,
+    rng: np.random.Generator,
+) -> bool:
+    """Run :class:`~repro.core.engine.AdaptiveSearch`'s walk in the kernel.
+
+    *problem* holds the start configuration and *run* is the engine's fresh
+    harness.  The kernel draws from *rng* exactly as the Python loop would,
+    one call per ``check_period``, with ``stop_check``/``max_time`` polled
+    between calls at the boundaries :meth:`StrategyRun.running` polls at.
+    On return *run* holds the counters, stop reason and best configuration,
+    *problem* the walk's current configuration and *rng* the state the
+    Python loop would leave.  Returns ``False``, touching nothing, when the
+    kernel cannot run this walk (see :func:`_generator_spec`) or does not
+    reproduce this generator's draws.
+    """
+    spec = _generator_spec(problem, params)
+    if spec is None:
+        return False
+    lib = _ckernels.load()
+    if not _generator_ok(lib, rng):
+        return False
+    pop = WalkPopulation(spec, lib)
+    pop.init([0], given=problem.configuration())
+    gen = _generator_block(rng)
+    lock = rng.bit_generator.lock  # ctypes releases the GIL during the call
+    state = pop.state[0]
+    running = pop.run(0)
+    while running:
+        if run.stop_check is not None and run.stop_check():
+            run.stop_reason = "external_stop"
+            break
+        if (
+            run.max_time is not None
+            and time.perf_counter() - run.start_time >= run.max_time
+        ):
+            run.stop_reason = "max_time"
+            break
+        with lock:
+            running = pop.run(run.check_period, gen)
+    if state[WS_STATUS] == STATUS_MAX_ITERATIONS:
+        run.stop_reason = "max_iterations"
+    run.iteration = int(state[WS_ITER])
+    run.swaps = int(state[WS_SWAPS])
+    run.local_minima = int(state[WS_LOCALMIN])
+    run.plateau_moves = int(state[WS_PLATEAU])
+    run.resets = int(state[WS_RESETS])
+    run.restarts = int(state[WS_RESTARTS])
+    run.best_cost = int(state[WS_BEST])
+    run.best_config = pop.best[0].copy()
+    problem.load_trusted_configuration(pop.perm[0].copy())
+    return True
 
 
 # ------------------------------------------------------------------- solver

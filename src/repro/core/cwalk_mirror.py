@@ -1,11 +1,14 @@
 """Pure-Python mirror of the compiled walk engine.
 
-The C walk kernel in ``_kernels.c`` (``as_walk_init``/``as_walk_run``) owns
-its own RNG stream, so its trajectories cannot be checked against the NumPy
-engine — they are different (equally valid) random walks.  This module is
-the *specification* the kernel is tested against instead: a line-for-line
-Python re-implementation of the walk's control flow driven by the same
-xoshiro256** stream, consuming draws at exactly the same points.  A compiled
+The C walk kernel in ``_kernels.c`` (``as_walk_init``/``as_walk_run``) can
+draw from its own xoshiro256** stream (the compiled engine's mode), and
+those trajectories cannot be checked against the NumPy engine — they are
+different (equally valid) random walks.  This module is the *specification*
+that mode is tested against instead: a line-for-line Python
+re-implementation of the walk's control flow driven by the same xoshiro256**
+stream, consuming draws at exactly the same points.  (The kernel's other
+mode draws from a NumPy generator and is tested against the NumPy engine
+itself, see ``tests/test_generator_walk.py``.)  A compiled
 walk and a :class:`MirrorWalk` started from the same seed must agree on
 every bit of state after every iteration — permutation, cost, error vector,
 tabu marks, all counters and the RNG words — and the trajectory test-suite

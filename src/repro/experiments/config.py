@@ -14,7 +14,8 @@ finish in minutes, so every driver is parameterised by an
   only practical if one is willing to let the harness run for a very long
   time, but it documents precisely what the full-scale experiment is.
 
-EXPERIMENTS.md records which preset produced the numbers quoted there.
+Every :class:`~repro.experiments.base.ExperimentResult` names the preset that
+produced it in its ``scale`` field (and in ``repro experiment --json`` output).
 """
 
 from __future__ import annotations

@@ -13,8 +13,6 @@ Checked response shapes:
   front-end's handler shape) whose status is a literal 429/503/504 (or a
   parameter defaulting to one, which covers the shared ``_reject`` helper):
   the body must carry ``"retry"`` and the headers a ``"Retry-After"`` key;
-* send-helper calls — ``self._send_json(status, body, headers=...)`` with a
-  literal 429/503/504 status: same body/header duties;
 * batch item dicts — a dict literal with ``"code": 429/503/504`` must also
   carry ``"retry"`` (batch slots have no headers, so the body field is the
   whole contract).
@@ -118,34 +116,6 @@ class _FunctionCheck(ast.NodeVisitor):
         if keys is None:
             return True  # dynamic headers expression: not provably wrong
         return "Retry-After" in keys or "**" in keys
-
-    # -- send helpers: self._send_json(status, body, headers=...) ---------
-    def visit_Call(self, node: ast.Call) -> None:
-        callee = None
-        if isinstance(node.func, ast.Attribute):
-            callee = node.func.attr
-        elif isinstance(node.func, ast.Name):
-            callee = node.func.id
-        if callee == "_send_json" and node.args:
-            status = _literal_status(node.args[0], self.retry_params)
-            if status is not None and len(node.args) >= 2:
-                label = "retryable" if status == -1 else str(status)
-                if not self._body_has_retry(node.args[1]):
-                    self._flag(
-                        node,
-                        f"{label} response body lacks the \"retry\" field "
-                        "of the PR-6/8 overload contract",
-                    )
-                headers = next(
-                    (kw.value for kw in node.keywords if kw.arg == "headers"),
-                    None,
-                )
-                if not self._headers_have_retry_after(headers):
-                    self._flag(
-                        node,
-                        f"{label} response sends no Retry-After header",
-                    )
-        self.generic_visit(node)
 
     # -- handler returns: return (status, body, close[, headers]) ---------
     def visit_Return(self, node: ast.Return) -> None:

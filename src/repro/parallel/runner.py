@@ -11,6 +11,15 @@ ask: "give me the sequential summary of instance n" (Table I rows) and "give
 me the avg/med/min/max simulated times of a k-core run on machine M"
 (Tables III–V cells), reusing one pool per instance across all core counts and
 machines, exactly like the paper reuses one implementation across testbeds.
+
+Pool walks are plain :meth:`AdaptiveSearch.solve
+<repro.core.engine.AdaptiveSearch.solve>` calls.  With the C kernels loaded,
+Costas walks run their inner loop in the compiled walk kernel on the walk's
+own NumPy generator (:func:`repro.core.cwalk.run_generator_walk`), bit-exact
+with the NumPy loop: seeded pools, and the cached pools on disk, hold the same
+iterations either way, only faster.  ``host_iteration_rate`` measures the
+loop that ran, so the simulated *seconds* of Tables III–V follow the host's
+speed while iteration counts and speed-up ratios do not move.
 """
 
 from __future__ import annotations

@@ -1360,8 +1360,9 @@ class SolverService:
                     "solver": best.solver,
                     "walks": handle.walks,
                     "coalesced_width": job.width,
-                    # Which engine ran the winning walk ("compiled",
-                    # "numpy-fallback", absent for non-adaptive strategies)
+                    # Which engine ran the winning walk ("c" or "python"
+                    # for adaptive-search, "compiled" or "numpy-fallback"
+                    # for the compiled engine, absent for other strategies)
                     # and how wide its in-process population was.
                     "engine": best.extra.get("engine"),
                     "population": int(best.extra.get("population", 1)),

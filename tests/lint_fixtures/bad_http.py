@@ -2,11 +2,9 @@
 
 
 class Handler:
-    def _send_json(self, status, body, headers=None):
-        pass
-
     def unavailable(self):
-        self._send_json(503, {"error": "overloaded"})
+        body = {"error": "overloaded"}
+        return 503, body, False, {"Content-Type": "application/json"}
 
     async def throttled(self):
         return 429, {"error": "quota"}, False

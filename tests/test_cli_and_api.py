@@ -46,6 +46,26 @@ class TestCommands:
     def test_solve_basic_model(self, capsys):
         assert main(["solve", "8", "--seed", "2", "--basic"]) == 0
 
+    def test_solve_reports_c_engine(self, capsys):
+        from repro.core import _ckernels
+
+        if _ckernels.load() is None:
+            pytest.skip("C kernels unavailable")
+        assert main(["solve", "10", "--seed", "0"]) == 0
+        assert "kernel mode: c, engine: c" in capsys.readouterr().out
+
+    def test_solve_reports_python_engine(self, capsys):
+        assert main(["solve", "3", "--kind", "magic-square", "--seed", "0"]) == 0
+        assert "engine: python" in capsys.readouterr().out
+
+    def test_solve_without_kernels_reports_python_engine(self, capsys, monkeypatch):
+        from repro.core import _ckernels
+
+        monkeypatch.setattr(_ckernels, "_lib", None)
+        monkeypatch.setattr(_ckernels, "_loaded", True)
+        assert main(["solve", "10", "--seed", "0"]) == 0
+        assert "kernel mode: numpy, engine: python" in capsys.readouterr().out
+
     def test_construct_command(self, capsys):
         assert main(["construct", "10"]) == 0
         out = capsys.readouterr().out
